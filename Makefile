@@ -25,14 +25,16 @@ ci: check race chaos replay-smoke ha-smoke detect-smoke fuzz-smoke
 # cluster, the sharded simulation runtime (kernel stepping + conservative
 # window barriers), the telemetry surfaces (metrics registry, trace ring,
 # control-plane handlers) that are read while the simulation runs, and the
-# saga/journal/reconciler machinery plus the node agents it drives, and
-# the churn-trace replay driver that hammers the control plane.
+# saga/journal/reconciler machinery plus the node agents it drives, the
+# churn-trace replay driver that hammers the control plane, and the
+# workloads (imdb, kvcache, search, stream), the heaviest users of
+# coroutine-backed sim.Proc.
 race:
 	$(GO) test -race -count=1 ./internal/llc/ ./internal/core/ \
 		./internal/sim/ ./internal/sim/shard/ ./internal/chaos/ \
 		./internal/metrics/ ./internal/trace/ ./internal/controlplane/ \
 		./internal/agent/ ./internal/dctrace/ ./internal/bench/ \
-		./internal/raft/ ./internal/timeseries/...
+		./internal/raft/ ./internal/timeseries/... ./internal/workloads/...
 
 # Run the fault-injection conformance campaigns (docs/RELIABILITY.md):
 # the datapath catalogue and the control-plane saga/recovery/reconciliation
@@ -78,10 +80,10 @@ test:
 	$(GO) test ./...
 
 # Micro-benchmarks for the sim kernel (including the run-to-horizon
-# windowed stepping), the shard group barrier, and the dcsim placement
-# index.
+# windowed stepping) and its process switch, the shard group barrier, and
+# the dcsim placement index.
 bench:
-	$(GO) test -run xxx -bench 'BenchmarkKernel|BenchmarkGroup|BenchmarkDcsim' \
+	$(GO) test -run xxx -bench 'BenchmarkKernel|BenchmarkProc|BenchmarkGroup|BenchmarkDcsim' \
 		-benchmem -benchtime 5x ./internal/sim/ ./internal/sim/shard/ \
 		./internal/dcsim/
 

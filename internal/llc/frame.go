@@ -18,6 +18,7 @@ package llc
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 
@@ -90,68 +91,95 @@ func (f *Frame) WireBytes() int {
 }
 
 // Encode serializes the frame to its wire representation, padding data
-// frames to the full frame size and appending a CRC-32 in the trailer.
+// frames to the full frame size and appending a CRC-32 in the trailer. The
+// wire image is one allocation of exactly WireBytes().
 func (f *Frame) Encode() []byte {
-	var buf []byte
-	put8 := func(v uint8) { buf = append(buf, v) }
-	put16 := func(v uint16) { buf = binary.LittleEndian.AppendUint16(buf, v) }
-	put32 := func(v uint32) { buf = binary.LittleEndian.AppendUint32(buf, v) }
-	put64 := func(v uint64) { buf = binary.LittleEndian.AppendUint64(buf, v) }
-
-	put8(uint8(f.Kind))
+	size := f.WireBytes()
+	le := binary.LittleEndian
+	buf := make([]byte, 0, size)
+	buf = append(buf, uint8(f.Kind))
 	switch f.Kind {
 	case kindControl:
 		// Control frames carry no sequence number: they are idempotent and
 		// outside the replay window, which keeps them within a single flit.
-		if f.ReplayValid {
-			put8(1)
-		} else {
-			put8(0)
-		}
-		put64(f.ReplayFrom)
-		if f.Probe {
-			put8(1)
-		} else {
-			put8(0)
-		}
-		put64(f.CumFreed)
-		put64(f.CumAck)
+		buf = append(buf, flag(f.ReplayValid))
+		buf = le.AppendUint64(buf, f.ReplayFrom)
+		buf = append(buf, flag(f.Probe))
+		buf = le.AppendUint64(buf, f.CumFreed)
+		buf = le.AppendUint64(buf, f.CumAck)
 	case kindData:
-		put64(f.Seq)
-		put16(uint16(len(f.Txns)))
+		buf = le.AppendUint64(buf, f.Seq)
+		buf = le.AppendUint16(buf, uint16(len(f.Txns)))
 		for _, t := range f.Txns {
-			put8(uint8(t.Op))
-			put64(t.Addr)
-			put32(uint32(t.Size))
-			put32(t.Tag)
-			put16(t.NetworkID)
-			if t.Bonded {
-				put8(1)
-			} else {
-				put8(0)
-			}
-			put32(t.PASID)
-			if t.Data != nil {
-				put8(1)
-				buf = append(buf, t.Data...)
-			} else {
-				put8(0)
-			}
+			buf = append(buf, uint8(t.Op))
+			buf = le.AppendUint64(buf, t.Addr)
+			buf = le.AppendUint32(buf, uint32(t.Size))
+			buf = le.AppendUint32(buf, t.Tag)
+			buf = le.AppendUint16(buf, t.NetworkID)
+			buf = append(buf, flag(t.Bonded))
+			buf = le.AppendUint32(buf, t.PASID)
+			buf = append(buf, flag(t.Data != nil))
+			buf = append(buf, t.Data...)
 		}
 	default:
 		panic(fmt.Sprintf("llc: encode of unknown frame kind %d", f.Kind))
 	}
-	// Pad to the fixed wire size minus the 4-byte CRC trailer.
-	want := f.WireBytes() - 4
+	// Pad to the fixed wire size minus the 4-byte CRC trailer: the buffer
+	// is freshly allocated, so the bytes past the payload are already zero.
+	want := size - 4
 	if len(buf) > want {
 		panic(fmt.Sprintf("llc: frame payload %dB exceeds wire size %dB", len(buf), want))
 	}
-	for len(buf) < want {
-		buf = append(buf, 0)
-	}
+	buf = buf[:want]
 	crc := crc32.ChecksumIEEE(buf)
 	f.crc = crc
-	return binary.LittleEndian.AppendUint32(buf, crc)
+	return le.AppendUint32(buf, crc)
+}
+
+// flag encodes a boolean as one wire byte.
+func flag(b bool) uint8 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// errShort reports a frame body that ends inside a field it declares.
+var errShort = errors.New("llc: truncated frame body")
+
+// reader is Decode's bounds-checked cursor over a frame body. A frame can
+// pass the CRC and still carry an inconsistent header (e.g. forged by a
+// misbehaving switch), so every read is validated with need first rather
+// than trusted.
+type reader struct {
+	body []byte
+	pos  int
+}
+
+func (r *reader) need(n int) bool { return r.pos+n <= len(r.body) }
+
+func (r *reader) u8() uint8 {
+	v := r.body[r.pos]
+	r.pos++
+	return v
+}
+
+func (r *reader) u16() uint16 {
+	v := binary.LittleEndian.Uint16(r.body[r.pos:])
+	r.pos += 2
+	return v
+}
+
+func (r *reader) u32() uint32 {
+	v := binary.LittleEndian.Uint32(r.body[r.pos:])
+	r.pos += 4
+	return v
+}
+
+func (r *reader) u64() uint64 {
+	v := binary.LittleEndian.Uint64(r.body[r.pos:])
+	r.pos += 8
+	return v
 }
 
 // Decode parses a wire frame, verifying the CRC. A CRC mismatch returns
@@ -165,61 +193,51 @@ func Decode(wire []byte) (*Frame, error) {
 	if crc32.ChecksumIEEE(body) != want {
 		return nil, ErrCRC
 	}
-	// Bounds-checked readers: a frame can pass the CRC and still carry an
-	// inconsistent header (e.g. forged by a misbehaving switch), so every
-	// read is validated rather than trusted.
-	pos := 0
-	errShort := fmt.Errorf("llc: truncated frame body")
-	need := func(n int) bool { return pos+n <= len(body) }
-	get8 := func() uint8 { v := body[pos]; pos++; return v }
-	get16 := func() uint16 { v := binary.LittleEndian.Uint16(body[pos:]); pos += 2; return v }
-	get32 := func() uint32 { v := binary.LittleEndian.Uint32(body[pos:]); pos += 4; return v }
-	get64 := func() uint64 { v := binary.LittleEndian.Uint64(body[pos:]); pos += 8; return v }
-
+	r := reader{body: body}
 	f := &Frame{}
-	if !need(1) {
+	if !r.need(1) {
 		return nil, errShort
 	}
-	f.Kind = frameKind(get8())
+	f.Kind = frameKind(r.u8())
 	switch f.Kind {
 	case kindControl:
-		if !need(1 + 8 + 1 + 8 + 8) {
+		if !r.need(1 + 8 + 1 + 8 + 8) {
 			return nil, errShort
 		}
-		f.ReplayValid = get8() == 1
-		f.ReplayFrom = get64()
-		f.Probe = get8() == 1
-		f.CumFreed = get64()
-		f.CumAck = get64()
+		f.ReplayValid = r.u8() == 1
+		f.ReplayFrom = r.u64()
+		f.Probe = r.u8() == 1
+		f.CumFreed = r.u64()
+		f.CumAck = r.u64()
 	case kindData:
-		if !need(8 + 2) {
+		if !r.need(8 + 2) {
 			return nil, errShort
 		}
-		f.Seq = get64()
-		n := int(get16())
+		f.Seq = r.u64()
+		n := int(r.u16())
 		f.Txns = make([]*capi.Transaction, 0, n)
 		for i := 0; i < n; i++ {
 			const txnHeader = 1 + 8 + 4 + 4 + 2 + 1 + 4 + 1
-			if !need(txnHeader) {
+			if !r.need(txnHeader) {
 				return nil, errShort
 			}
 			t := &capi.Transaction{}
-			t.Op = capi.Op(get8())
-			t.Addr = get64()
-			t.Size = int32(get32())
-			t.Tag = get32()
-			t.NetworkID = get16()
-			t.Bonded = get8() == 1
-			t.PASID = get32()
+			t.Op = capi.Op(r.u8())
+			t.Addr = r.u64()
+			t.Size = int32(r.u32())
+			t.Tag = r.u32()
+			t.NetworkID = r.u16()
+			t.Bonded = r.u8() == 1
+			t.PASID = r.u32()
 			if t.Size < 0 || t.Size > capi.Cacheline {
 				return nil, fmt.Errorf("llc: frame carries invalid size %d", t.Size)
 			}
-			if get8() == 1 {
-				if !need(int(t.Size)) {
+			if r.u8() == 1 {
+				if !r.need(int(t.Size)) {
 					return nil, errShort
 				}
-				t.Data = append([]byte(nil), body[pos:pos+int(t.Size)]...)
-				pos += int(t.Size)
+				t.Data = append([]byte(nil), body[r.pos:r.pos+int(t.Size)]...)
+				r.pos += int(t.Size)
 			}
 			f.Txns = append(f.Txns, t)
 		}

@@ -81,6 +81,7 @@ type Port struct {
 	freedSeen   uint64 // highest cumulative slots-freed total seen from the peer
 	pending     []*capi.Transaction
 	flushQueued bool
+	flushFn     func() // cached p.flush method value for scheduleFlush
 	nextSeq     uint64
 	replayBuf   map[uint64][]byte // seq -> encoded wire frame
 	oldestKept  uint64
@@ -103,6 +104,7 @@ type Port struct {
 	replayTimer  *sim.Event
 	rxStalls     int // consecutive replay timeouts without forward progress
 	credQueued   bool
+	creditFn     func() // cached p.returnCredits method value
 	creditWaiter *sim.Signal
 
 	// down latches once the port escalates: replay attempts, replay
@@ -222,7 +224,7 @@ func newPort(k *sim.Kernel, name string, out *phy.Channel, cfg Config) *Port {
 	if cfg.ReplayBuffer < cfg.Credits {
 		panic(fmt.Sprintf("llc: replay buffer %d smaller than credit window %d", cfg.ReplayBuffer, cfg.Credits))
 	}
-	return &Port{
+	p := &Port{
 		k:            k,
 		name:         name,
 		cfg:          cfg,
@@ -231,6 +233,9 @@ func newPort(k *sim.Kernel, name string, out *phy.Channel, cfg Config) *Port {
 		replayBuf:    make(map[uint64][]byte),
 		creditWaiter: sim.NewSignal(k),
 	}
+	p.flushFn = p.flush
+	p.creditFn = p.returnCredits
+	return p
 }
 
 // Name returns the port name.
@@ -301,7 +306,7 @@ func (p *Port) scheduleFlush() {
 		return
 	}
 	p.flushQueued = true
-	p.k.Schedule(0, p.flush)
+	p.k.Schedule(0, p.flushFn)
 }
 
 // flush packs pending transactions into frames and transmits as many as
@@ -730,11 +735,14 @@ func (p *Port) scheduleCreditReturn() {
 		return
 	}
 	p.credQueued = true
-	p.k.Schedule(0, func() {
-		p.credQueued = false
-		if p.down {
-			return
-		}
-		p.sendControl(false, 0, false)
-	})
+	p.k.Schedule(0, p.creditFn)
+}
+
+// returnCredits sends the control frame a scheduleCreditReturn queued.
+func (p *Port) returnCredits() {
+	p.credQueued = false
+	if p.down {
+		return
+	}
+	p.sendControl(false, 0, false)
 }

@@ -78,3 +78,26 @@ func TestKernelWindowedAllocRegression(t *testing.T) {
 		t.Fatalf("windowed kernel workload allocated %.0f times, budget %d", allocs, kernelAllocBudget)
 	}
 }
+
+// TestProcSleepAllocs pins one Sleep/wake cycle at zero allocations: the
+// wake-up reuses the process's cached step callback and a recycled event,
+// and the resume is a coroutine switch.
+func TestProcSleepAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation changes allocation counts")
+	}
+	k := NewKernel()
+	quit := false
+	k.Go("sleeper", func(p *Proc) {
+		for !quit {
+			p.Sleep(Nanosecond)
+		}
+	})
+	// Each RunUntil advances the clock by 1 ns: exactly one wake-up.
+	allocs := testing.AllocsPerRun(1000, func() { k.RunUntil(k.Now() + Nanosecond) })
+	quit = true
+	k.Run()
+	if allocs != 0 {
+		t.Fatalf("Sleep/wake cycle allocated %.0f times, want 0", allocs)
+	}
+}

@@ -67,3 +67,28 @@ func BenchmarkKernelCancel(b *testing.B) {
 		k.Run()
 	}
 }
+
+// BenchmarkProcSleep measures one Sleep/wake cycle of a process: the
+// scheduled wake-up event plus the switch into the process and back.
+func BenchmarkProcSleep(b *testing.B) {
+	k := NewKernel()
+	k.Go("sleeper", func(p *Proc) {
+		for i := 0; i < b.N; i++ {
+			p.Sleep(Nanosecond)
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	k.Run()
+}
+
+// BenchmarkProcSpawn measures a process's whole life: spawn, first resume,
+// and return.
+func BenchmarkProcSpawn(b *testing.B) {
+	k := NewKernel()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		k.Go("p", func(p *Proc) {})
+		k.Run()
+	}
+}

@@ -1,58 +1,71 @@
+//go:build go1.23
+
+// The constraint above raises this file's language version past go.mod's
+// go 1.22 line so that it may use package iter (Go 1.23).
+
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+)
 
-// Proc is a cooperative simulated process. A Proc runs on its own goroutine,
-// but the kernel guarantees that at most one process goroutine executes at a
-// time: the kernel resumes a process and then blocks until the process either
-// yields (by calling a blocking primitive such as Sleep or Wait) or returns.
-// This keeps simulations deterministic without locks in model code.
+// Proc is a cooperative simulated process. A Proc is a runtime coroutine
+// (iter.Pull): the kernel resumes it with next and the process hands control
+// back with yield when it blocks (Sleep, Signal.Wait, Resource.Acquire) or
+// returns. A resume is a direct coroutine switch, not a scheduler round trip
+// between goroutines, and exactly one of the kernel and its processes runs at
+// a time. This keeps simulations deterministic without locks in model code.
 //
-// All Proc methods must be called from the process's own goroutine.
+// A panic inside a process unwinds the process and re-panics, with the same
+// value, out of the Kernel.Run (or RunUntil/RunBefore) call that resumed it,
+// on the caller's goroutine. The process is dead afterwards, and the kernel
+// should be discarded.
+//
+// All Proc methods must be called from the process itself.
 type Proc struct {
-	k      *Kernel
-	name   string
-	resume chan struct{}
-	yield  chan struct{}
-	done   bool
+	k     *Kernel
+	name  string
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
+	// wake is the cached p.step method value: scheduling a wake-up (Sleep,
+	// Broadcast, Wake, Resource hand-off) reuses it instead of allocating a
+	// closure per event.
+	wake func()
+	done bool
 }
 
 // Go spawns a new simulated process executing fn. The process starts at the
 // current virtual time (after already-queued events for this instant).
 func (k *Kernel) Go(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{
-		k:      k,
-		name:   name,
-		resume: make(chan struct{}),
-		yield:  make(chan struct{}),
-	}
+	p := &Proc{k: k, name: name}
 	k.procs++
-	go func() {
-		<-p.resume
+	// stop is dropped: a process runs until fn returns, and one that never
+	// returns stays parked in its coroutine (and counted in k.procs).
+	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
 		fn(p)
 		p.done = true
 		k.procs--
-		p.yield <- struct{}{}
-	}()
-	k.Schedule(0, func() { p.step() })
+	})
+	p.wake = p.step
+	k.Schedule(0, p.wake)
 	return p
 }
 
-// step hands control to the process goroutine and waits for it to block or
-// finish. It must only be called from kernel (event) context.
+// step resumes the process and returns once it blocks or finishes. It must
+// only be called from kernel (event) context.
 func (p *Proc) step() {
 	if p.done {
 		return
 	}
-	p.resume <- struct{}{}
-	<-p.yield
+	p.next()
 }
 
 // park yields control back to the kernel; the process stays blocked until
 // another event calls step again.
 func (p *Proc) park() {
-	p.yield <- struct{}{}
-	<-p.resume
+	p.yield(struct{}{})
 }
 
 // Kernel returns the kernel this process runs on.
@@ -70,7 +83,7 @@ func (p *Proc) Sleep(d Time) {
 	if d < 0 {
 		d = 0
 	}
-	p.k.Schedule(d, func() { p.step() })
+	p.k.Schedule(d, p.wake)
 	p.park()
 }
 
@@ -103,8 +116,7 @@ func (s *Signal) Broadcast() {
 	ws := s.waiters
 	s.waiters = nil
 	for _, w := range ws {
-		w := w
-		s.k.Schedule(0, func() { w.step() })
+		s.k.Schedule(0, w.wake)
 	}
 }
 
@@ -116,7 +128,7 @@ func (s *Signal) Wake() bool {
 	}
 	w := s.waiters[0]
 	s.waiters = s.waiters[1:]
-	s.k.Schedule(0, func() { w.step() })
+	s.k.Schedule(0, w.wake)
 	return true
 }
 

@@ -103,7 +103,6 @@ func TestWaitGroup(t *testing.T) {
 	wg.Add(3)
 	var doneAt Time
 	for i := 1; i <= 3; i++ {
-		i := i
 		k.Go("worker", func(p *Proc) {
 			p.Sleep(Time(i) * 10 * Nanosecond)
 			wg.Done()
@@ -130,5 +129,83 @@ func TestWaitGroupAlreadyZero(t *testing.T) {
 	k.Run()
 	if !passed {
 		t.Fatal("Wait on zero WaitGroup blocked forever")
+	}
+}
+
+// TestProcPanicSurfacesFromRun checks that a panic inside a process unwinds
+// out of Kernel.Run on the goroutine that called Run, with its value intact.
+func TestProcPanicSurfacesFromRun(t *testing.T) {
+	k := NewKernel()
+	k.Go("boom", func(p *Proc) {
+		p.Sleep(Nanosecond)
+		panic("boom")
+	})
+	defer func() {
+		if r := recover(); r != "boom" {
+			t.Fatalf("recovered %v, want the process's panic value", r)
+		}
+		if k.Now() != Nanosecond {
+			t.Fatalf("panic surfaced at %v, want 1ns", k.Now())
+		}
+	}()
+	k.Run()
+	t.Fatal("Run returned normally past a panicking process")
+}
+
+// TestProcSteppedFromOtherGoroutines mirrors the shard runtime: processes
+// are spawned on one goroutine, then each window is run by whichever worker
+// goroutine picks the kernel up, two kernels at a time. Under -race this
+// checks that a resume hands the process's memory over cleanly.
+func TestProcSteppedFromOtherGoroutines(t *testing.T) {
+	const windows = 20
+	kernels := []*Kernel{NewKernel(), NewKernel()}
+	sums := make([]int, len(kernels))
+	for i, k := range kernels {
+		k.Go("worker", func(p *Proc) {
+			for w := 0; w < windows; w++ {
+				p.Sleep(10 * Nanosecond)
+				sums[i] += w
+			}
+		})
+	}
+	for w := 1; w <= windows+1; w++ {
+		horizon := Time(w)*10*Nanosecond + 1
+		done := make(chan struct{}, len(kernels))
+		for _, k := range kernels {
+			go func() {
+				k.RunBefore(horizon)
+				done <- struct{}{}
+			}()
+		}
+		for range kernels {
+			<-done
+		}
+	}
+	for i, k := range kernels {
+		if want := windows * (windows - 1) / 2; sums[i] != want {
+			t.Fatalf("kernel %d: sum %d, want %d", i, sums[i], want)
+		}
+		if k.procs != 0 {
+			t.Fatalf("kernel %d: %d live processes after completion", i, k.procs)
+		}
+	}
+}
+
+// TestProcNeverReturningStaysLive checks the live-process count: a process
+// blocked forever keeps counting, one that returns stops counting.
+func TestProcNeverReturningStaysLive(t *testing.T) {
+	k := NewKernel()
+	never := NewSignal(k)
+	k.Go("stuck", func(p *Proc) { never.Wait(p) })
+	k.Go("finishes", func(p *Proc) { p.Sleep(Nanosecond) })
+	if k.procs != 2 {
+		t.Fatalf("procs = %d after spawning two, want 2", k.procs)
+	}
+	k.Run()
+	if k.procs != 1 {
+		t.Fatalf("procs = %d after Run, want 1 (the blocked process)", k.procs)
+	}
+	if never.Waiters() != 1 {
+		t.Fatalf("waiters = %d, want 1", never.Waiters())
 	}
 }

@@ -101,8 +101,7 @@ func (r *Resource) dispatch() {
 		r.waiters = r.waiters[1:]
 		r.accountTo(r.k.now)
 		r.inUse += w.n
-		p := w.p
-		r.k.Schedule(0, func() { p.step() })
+		r.k.Schedule(0, w.p.wake)
 	}
 }
 

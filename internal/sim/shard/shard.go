@@ -92,11 +92,11 @@ type Group struct {
 	// are ~lookahead long (50 ns of virtual time), so a full run crosses
 	// tens of thousands of barriers; spawning goroutines per window would
 	// dominate. The coordinator publishes the window horizon, feeds
-	// active shards through `work`, and counts completions on `done`.
+	// active shards to the workers, and counts their completions. The
+	// channels belong to one RunUntil call and are handed to its workers
+	// as arguments, so a worker never reads a later call's pool.
 	workers int
 	horizon sim.Time
-	work    chan *Shard
-	done    chan struct{}
 
 	// Runtime health counters, updated once per window by the coordinator
 	// (single-threaded) under statMu so Health() may be called concurrently
@@ -159,10 +159,10 @@ func (g *Group) Connect(src, dst *Shard, minDelay sim.Time) *Conduit {
 	return c
 }
 
-func (g *Group) worker() {
-	for s := range g.work {
+func (g *Group) worker(work <-chan *Shard, done chan<- struct{}) {
+	for s := range work {
 		s.k.RunBefore(g.horizon)
-		g.done <- struct{}{}
+		done <- struct{}{}
 	}
 }
 
@@ -239,16 +239,15 @@ func (g *Group) Run() sim.Time {
 // processes started afterwards resume from a common instant. It returns the
 // latest kernel clock across shards.
 func (g *Group) RunUntil(limit sim.Time) sim.Time {
+	var work chan *Shard
+	var done chan struct{}
 	if g.workers > 1 {
-		g.work = make(chan *Shard, len(g.shards))
-		g.done = make(chan struct{}, len(g.shards))
+		work = make(chan *Shard, len(g.shards))
+		done = make(chan struct{}, len(g.shards))
 		for i := 0; i < g.workers; i++ {
-			go g.worker()
+			go g.worker(work, done)
 		}
-		defer func() {
-			close(g.work)
-			g.work = nil
-		}()
+		defer close(work)
 	}
 	var scratch []msgRef
 	active := make([]*Shard, 0, len(g.shards))
@@ -291,7 +290,7 @@ func (g *Group) RunUntil(limit sim.Time) sim.Time {
 			}
 		}
 		g.statMu.Unlock()
-		if g.work == nil || len(active) == 1 {
+		if work == nil || len(active) == 1 {
 			for _, s := range active {
 				s.k.RunBefore(horizon)
 			}
@@ -299,10 +298,10 @@ func (g *Group) RunUntil(limit sim.Time) sim.Time {
 		}
 		g.horizon = horizon
 		for _, s := range active {
-			g.work <- s
+			work <- s
 		}
 		for range active {
-			<-g.done
+			<-done
 		}
 	}
 	var end sim.Time
