@@ -80,12 +80,13 @@ test:
 	$(GO) test ./...
 
 # Micro-benchmarks for the sim kernel (including the run-to-horizon
-# windowed stepping) and its process switch, the shard group barrier, and
-# the dcsim placement index.
+# windowed stepping) and its process switch, the shard group barrier, the
+# dcsim placement index, a thread's priced memory access, and the Figure 9
+# corpus index build.
 bench:
-	$(GO) test -run xxx -bench 'BenchmarkKernel|BenchmarkProc|BenchmarkGroup|BenchmarkDcsim' \
+	$(GO) test -run xxx -bench 'BenchmarkKernel|BenchmarkProc|BenchmarkGroup|BenchmarkDcsim|BenchmarkThreadAccess|BenchmarkBuildIndex' \
 		-benchmem -benchtime 5x ./internal/sim/ ./internal/sim/shard/ \
-		./internal/dcsim/
+		./internal/dcsim/ ./internal/mem/ ./internal/workloads/search/
 
 # Wall-clock / allocation snapshot: sequential vs parallel quick suite,
 # kernel/placement micro-benchmarks, the sharded rack-scaling sweep

@@ -339,6 +339,9 @@ func (r *Runner) Fig9Search(w io.Writer, scale Scale) map[string]float64 {
 			}
 		}
 	}
+	// Cells share each corpus index read-only: built once per call, not
+	// once per cell.
+	indexes := search.NewIndexSet()
 	r.run(len(cells), func(i int) {
 		c := &cells[i]
 		rc := search.DefaultRunConfig(c.ch, c.shards)
@@ -350,7 +353,7 @@ func (r *Runner) Fig9Search(w io.Writer, scale Scale) map[string]float64 {
 				rc.OpsPerClient = 10
 			}
 		}
-		res, err := search.Run(c.cfg, rc)
+		res, err := indexes.Run(c.cfg, rc)
 		if err != nil {
 			panic(err)
 		}

@@ -2,6 +2,8 @@ package bench
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -82,5 +84,33 @@ func TestParallelFig7ByteIdentical(t *testing.T) {
 	if !bytes.Equal(seq.Bytes(), par.Bytes()) {
 		t.Fatalf("parallel Fig7Throughput output diverged from sequential:\n--- sequential ---\n%s\n--- parallel ---\n%s",
 			seq.String(), par.String())
+	}
+}
+
+// TestParallelFig9ByteIdentical covers cells that share read-only input:
+// Fig 9 cells place one corpus index per (corpus, shards) key, built once
+// per call. Four workers must print the sequential table, and that table
+// must hash to the one the per-cell index builds printed.
+func TestParallelFig9ByteIdentical(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full Fig9 comparison in -short mode")
+	}
+	// A race-instrumented test binary that has already run Fig9 (as
+	// TestFig9Shape does) stalls or is killed for memory partway through
+	// two more Fig9 runs. Concurrent reads of a shared index are checked
+	// under -race by TestSharedIndexAcrossKernels in the search package.
+	if raceEnabled {
+		t.Skip("three Fig9 runs in one race-instrumented binary exhaust memory")
+	}
+	const want = "e7245f5fc665f67217d7370a5f4639ba49c182c4d7f2ab916e55689eb57a34b9"
+	var seq, par bytes.Buffer
+	NewRunner(1).Fig9Search(&seq, Quick)
+	NewRunner(4).Fig9Search(&par, Quick)
+	if !bytes.Equal(seq.Bytes(), par.Bytes()) {
+		t.Fatalf("parallel Fig9Search output diverged from sequential:\n--- sequential ---\n%s\n--- parallel ---\n%s",
+			seq.String(), par.String())
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(seq.Bytes())); got != want {
+		t.Fatalf("Fig9Search table hashes to %s, want %s:\n%s", got, want, seq.String())
 	}
 }

@@ -37,13 +37,19 @@ type System struct {
 	PageSize int64
 
 	nodes []*Node
-	llc   map[int]*Cache // socket -> shared LLC
+	llc   []*Cache // socket -> shared LLC
 
-	pageNode map[uint64]NodeID // page index -> owning node
+	// pageNode[page] is the node owning a page, or unmapped. Addresses are
+	// bump-allocated, so the table is dense and covers every page below
+	// nextAddr.
+	pageNode []NodeID
 	nextAddr uint64
 
 	migrations int64 // pages migrated (AutoNUMA accounting)
 }
+
+// unmapped marks a page table entry with no backing node.
+const unmapped NodeID = -1
 
 // NewSystem creates an empty memory system with the given page size
 // (0 selects DefaultPageSize).
@@ -57,8 +63,7 @@ func NewSystem(k *sim.Kernel, pageSize int64) *System {
 	return &System{
 		K:        k,
 		PageSize: pageSize,
-		llc:      make(map[int]*Cache),
-		pageNode: make(map[uint64]NodeID),
+		pageNode: []NodeID{unmapped},
 		nextAddr: uint64(pageSize), // keep address 0 unused
 	}
 }
@@ -102,10 +107,20 @@ func (s *System) Nodes() []*Node {
 }
 
 // SetLLC installs the shared last-level cache for a socket.
-func (s *System) SetLLC(socket int, c *Cache) { s.llc[socket] = c }
+func (s *System) SetLLC(socket int, c *Cache) {
+	for len(s.llc) <= socket {
+		s.llc = append(s.llc, nil)
+	}
+	s.llc[socket] = c
+}
 
 // LLC returns the shared LLC of a socket (nil if not configured).
-func (s *System) LLC(socket int) *Cache { return s.llc[socket] }
+func (s *System) LLC(socket int) *Cache {
+	if socket < 0 || socket >= len(s.llc) {
+		return nil
+	}
+	return s.llc[socket]
+}
 
 // Buffer is a contiguous virtual allocation whose pages may live on
 // different NUMA nodes.
@@ -124,29 +139,29 @@ func (s *System) Alloc(size int64, place func(page int) NodeID) (*Buffer, error)
 	}
 	pages := (size + s.PageSize - 1) / s.PageSize
 	base := s.nextAddr
+	first := len(s.pageNode) // == base / PageSize
 	// Place incrementally so stateful placers (e.g. numa.Preferred, which
 	// consults free capacity) see usage grow page by page; roll back on
 	// failure so a failed allocation leaves no trace.
-	rollback := func(upto int64) {
-		for i := int64(0); i < upto; i++ {
-			pg := (base / uint64(s.PageSize)) + uint64(i)
-			s.nodes[s.pageNode[pg]].Used -= s.PageSize
-			delete(s.pageNode, pg)
+	rollback := func() {
+		for _, id := range s.pageNode[first:] {
+			s.nodes[id].Used -= s.PageSize
 		}
+		s.pageNode = s.pageNode[:first]
 	}
 	for i := int64(0); i < pages; i++ {
 		id := place(int(i))
 		node := s.nodes[id]
 		if node == nil {
-			rollback(i)
+			rollback()
 			return nil, fmt.Errorf("mem: Alloc on removed node %d", id)
 		}
 		if node.Used+s.PageSize > node.Capacity {
-			rollback(i)
+			rollback()
 			return nil, fmt.Errorf("mem: node %d (%s) out of memory at page %d of %d",
 				id, node.Name, i, pages)
 		}
-		s.pageNode[(base/uint64(s.PageSize))+uint64(i)] = id
+		s.pageNode = append(s.pageNode, id)
 		node.Used += s.PageSize
 	}
 	s.nextAddr += uint64(pages * s.PageSize)
@@ -156,19 +171,27 @@ func (s *System) Alloc(size int64, place func(page int) NodeID) (*Buffer, error)
 // Free releases the buffer's pages.
 func (s *System) Free(b *Buffer) {
 	pages := b.Size / s.PageSize
-	for i := int64(0); i < pages; i++ {
-		pg := (b.Base / uint64(s.PageSize)) + uint64(i)
-		if id, ok := s.pageNode[pg]; ok {
+	first := b.Base / uint64(s.PageSize)
+	for pg := first; pg < first+uint64(pages); pg++ {
+		if id := s.pageNode[pg]; id != unmapped {
 			s.nodes[id].Used -= s.PageSize
-			delete(s.pageNode, pg)
+			s.pageNode[pg] = unmapped
 		}
 	}
 }
 
+// owner returns the node owning a page, or unmapped.
+func (s *System) owner(pg uint64) NodeID {
+	if pg >= uint64(len(s.pageNode)) {
+		return unmapped
+	}
+	return s.pageNode[pg]
+}
+
 // NodeOf returns the NUMA node owning the page containing addr.
 func (s *System) NodeOf(addr uint64) NodeID {
-	id, ok := s.pageNode[addr/uint64(s.PageSize)]
-	if !ok {
+	id := s.owner(addr / uint64(s.PageSize))
+	if id == unmapped {
 		panic(fmt.Sprintf("mem: access to unmapped address %#x", addr))
 	}
 	return id
@@ -178,8 +201,8 @@ func (s *System) NodeOf(addr uint64) NodeID {
 // support). The caller is responsible for pricing the copy cost.
 func (s *System) MigratePage(addr uint64, to NodeID) error {
 	pg := addr / uint64(s.PageSize)
-	from, ok := s.pageNode[pg]
-	if !ok {
+	from := s.owner(pg)
+	if from == unmapped {
 		return fmt.Errorf("mem: migrate of unmapped page %#x", addr)
 	}
 	if from == to {
@@ -202,22 +225,15 @@ func (s *System) MigratePage(addr uint64, to NodeID) error {
 // Migrations returns the number of pages migrated so far.
 func (s *System) Migrations() int64 { return s.migrations }
 
-// AnyPageOn returns the address of some page mapped on node id, if any.
-// Iteration order is deterministic (lowest page first) so simulations stay
-// reproducible.
-func (s *System) AnyPageOn(id NodeID) (uint64, bool) {
-	best := uint64(0)
-	found := false
+// EachPageOn calls fn with the address of every page mapped on node id,
+// lowest first, until fn returns false. fn may migrate or free the page it
+// is given.
+func (s *System) EachPageOn(id NodeID, fn func(addr uint64) bool) {
 	for pg, owner := range s.pageNode {
-		if owner != id {
-			continue
-		}
-		if !found || pg < best {
-			best = pg
-			found = true
+		if owner == id && !fn(uint64(pg)*uint64(s.PageSize)) {
+			return
 		}
 	}
-	return best * uint64(s.PageSize), found
 }
 
 // PagesOn returns the number of mapped pages owned by node id.

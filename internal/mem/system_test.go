@@ -185,3 +185,44 @@ func TestStreamAggregateSaturatesPipe(t *testing.T) {
 		t.Fatalf("aggregate stream = %.3g B/s, want ~12.5e9 (pipe bound)", agg)
 	}
 }
+
+// TestPageTableUnmapped covers the unmapped page-table entries: page 0,
+// freed pages, pages a failed Alloc rolled back, and pages past the end.
+func TestPageTableUnmapped(t *testing.T) {
+	_, sys, local, remote := testSystem(t)
+	a, err := sys.Alloc(4*sys.PageSize, func(int) NodeID { return local })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.Alloc(2<<30, func(int) NodeID { return remote }); err == nil {
+		t.Fatal("over-capacity Alloc succeeded")
+	}
+	b, err := sys.Alloc(sys.PageSize, func(int) NodeID { return remote })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.Base != a.Base+uint64(a.Size) {
+		t.Fatalf("next buffer at %#x, want %#x right after the first", b.Base, a.Base+uint64(a.Size))
+	}
+	sys.Free(a)
+	sys.Free(a) // freeing twice is harmless
+	if sys.Node(local).Used != 0 || sys.PagesOn(local) != 0 {
+		t.Fatalf("after Free: local used %d, %d pages", sys.Node(local).Used, sys.PagesOn(local))
+	}
+	if sys.NodeOf(b.Base) != remote {
+		t.Fatal("Free unmapped a neighbouring buffer")
+	}
+	for _, addr := range []uint64{0, a.Base, a.Base + uint64(a.Size) - 1, b.Base + uint64(b.Size), 1 << 60} {
+		if err := sys.MigratePage(addr, local); err == nil {
+			t.Fatalf("migrated unmapped address %#x", addr)
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("NodeOf(%#x) of an unmapped address did not panic", addr)
+				}
+			}()
+			sys.NodeOf(addr)
+		}()
+	}
+}

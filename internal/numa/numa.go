@@ -161,19 +161,21 @@ func (b *Balancer) MaybeScan(now sim.Time) sim.Time {
 func (b *Balancer) Stats() (migrated, failed int64) { return b.migrated, b.failed }
 
 // Drain migrates every mapped page off the given node (used before
-// offlining a hotplugged section). It returns the number of pages moved and
-// an error if the destination cannot absorb them.
+// offlining a hotplugged section), lowest page first, in one pass over the
+// page table. It returns the number of pages moved and an error if the
+// destination cannot absorb them.
 func Drain(sys *mem.System, from, to mem.NodeID) (int64, error) {
 	var moved int64
-	for {
-		addr, ok := sys.AnyPageOn(from)
-		if !ok {
-			break
-		}
-		if err := sys.MigratePage(addr, to); err != nil {
-			return moved, fmt.Errorf("numa: drain %d->%d after %d pages: %w", from, to, moved, err)
+	var err error
+	sys.EachPageOn(from, func(addr uint64) bool {
+		if err = sys.MigratePage(addr, to); err != nil {
+			return false
 		}
 		moved++
+		return true
+	})
+	if err != nil {
+		return moved, fmt.Errorf("numa: drain %d->%d after %d pages: %w", from, to, moved, err)
 	}
 	return moved, nil
 }

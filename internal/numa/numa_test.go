@@ -177,3 +177,42 @@ func TestDrainFailsWhenTargetFull(t *testing.T) {
 		t.Fatalf("moved %d before failing, want 2", moved)
 	}
 }
+
+// TestDrainManyPages drains thousands of pages interleaved with pages that
+// stay put, in one pass, lowest page first.
+func TestDrainManyPages(t *testing.T) {
+	const pages = 6000
+	sys, local, remote := newSys(t, 1<<30, 1<<30)
+	buf, err := sys.Alloc(pages*sys.PageSize, Interleave(local, remote))
+	if err != nil {
+		t.Fatal(err)
+	}
+	moved, err := Drain(sys, remote, local)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if moved != pages/2 || sys.Migrations() != pages/2 {
+		t.Fatalf("drained %d pages (%d migrations), want %d", moved, sys.Migrations(), pages/2)
+	}
+	if sys.PagesOn(remote) != 0 || sys.PagesOn(local) != pages {
+		t.Fatalf("after drain: remote %d, local %d pages", sys.PagesOn(remote), sys.PagesOn(local))
+	}
+
+	// A destination with room for 100 pages takes the lowest 100.
+	sys, local, remote = newSys(t, 100*mem.DefaultPageSize, 1<<30)
+	if buf, err = sys.Alloc(pages*sys.PageSize, Local(remote)); err != nil {
+		t.Fatal(err)
+	}
+	if moved, err = Drain(sys, remote, local); err == nil || moved != 100 {
+		t.Fatalf("drain into a 100-page node: moved %d, err %v", moved, err)
+	}
+	for pg := int64(0); pg < pages; pg++ {
+		want := remote
+		if pg < 100 {
+			want = local
+		}
+		if got := sys.NodeOf(buf.Addr(pg * sys.PageSize)); got != want {
+			t.Fatalf("page %d on node %d, want %d", pg, got, want)
+		}
+	}
+}

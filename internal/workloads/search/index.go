@@ -9,7 +9,6 @@ package search
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"thymesisflow/internal/core"
 	"thymesisflow/internal/mem"
@@ -46,27 +45,137 @@ type docMeta struct {
 	answers int16 // answers posted before `date`+window
 }
 
-// Shard is one index shard: an inverted index over its documents plus the
-// stored metadata region, both living in simulated memory.
+// Index is a corpus indexed over a fixed number of shards: each shard's
+// stored document metadata and its encoded posting lists. It depends only
+// on the corpus and the shard count, not on where an engine places it in
+// simulated memory, so it is immutable once built and engines on different
+// kernels and goroutines share it read-only.
+type Index struct {
+	shards []*shardIndex
+}
+
+// shardIndex is one shard of an Index.
+type shardIndex struct {
+	docs []docMeta
+	// postings holds the shard's varint-delta-encoded posting lists laid
+	// out in tag order: the bytes at the head of the shard's arena.
+	postings []byte
+	// postingOff[tag] and postingOff[tag+1] bound the tag's list within
+	// postings (and the arena); it has one entry per tag plus one.
+	postingOff []int64
+}
+
+// postingList returns the encoded posting list of a tag (empty for a tag
+// outside the vocabulary).
+func (x *shardIndex) postingList(tag int) []byte {
+	if tag < 0 || tag+1 >= len(x.postingOff) {
+		return nil
+	}
+	return x.postings[x.postingOff[tag]:x.postingOff[tag+1]]
+}
+
+// metaOff is the arena offset of the stored-fields region, which follows
+// the posting lists.
+func (x *shardIndex) metaOff() int64 { return int64(len(x.postings)) }
+
+// NewIndex generates the corpus and indexes it over the given number of
+// shards.
+func NewIndex(corpus CorpusConfig, shards int) (*Index, error) {
+	ix, _, err := buildIndex(corpus, shards)
+	return ix, err
+}
+
+// buildIndex is NewIndex that also returns the ordinal lists every posting
+// list was encoded from (truth[shard][tag]). Queries never read them; each
+// encoded list is decoded once here and checked against its ordinals.
+func buildIndex(corpus CorpusConfig, shards int) (*Index, [][][]int32, error) {
+	if shards <= 0 {
+		return nil, nil, fmt.Errorf("search: no shards")
+	}
+	if corpus.Tags <= 0 {
+		return nil, nil, fmt.Errorf("search: corpus has no tags")
+	}
+	perShard := corpus.Docs / shards
+	if perShard == 0 {
+		return nil, nil, fmt.Errorf("search: %d docs cannot fill %d shards", corpus.Docs, shards)
+	}
+	rng := rand.New(rand.NewSource(corpus.Seed))
+	ix := &Index{shards: make([]*shardIndex, shards)}
+	truth := make([][][]int32, shards)
+	// Scratch reused across shards: the (tag, ordinal) pairs in draw order
+	// and the per-tag counts that size each list exactly.
+	type posting struct{ tag, ord int32 }
+	drawn := make([]posting, 0, perShard*corpus.TagsPerDoc)
+	counts := make([]int, corpus.Tags)
+	for si := 0; si < shards; si++ {
+		sh := &shardIndex{docs: make([]docMeta, perShard)}
+		drawn = drawn[:0]
+		clear(counts)
+		for ord := 0; ord < perShard; ord++ {
+			sh.docs[ord] = docMeta{
+				id:      int32(si*perShard + ord),
+				date:    int32(rng.Intn(4000)),
+				answers: int16(rng.Intn(160)),
+			}
+			first := len(drawn)
+		tags:
+			for t := 0; t < corpus.TagsPerDoc; t++ {
+				// Skewed tag popularity: squaring the uniform draw favors
+				// low tag IDs ~ 1/sqrt density.
+				u := rng.Float64()
+				tag := int32(u * u * float64(corpus.Tags))
+				if int(tag) >= corpus.Tags {
+					tag = int32(corpus.Tags - 1)
+				}
+				for _, d := range drawn[first:] {
+					if d.tag == tag {
+						continue tags // duplicate tag on this doc
+					}
+				}
+				drawn = append(drawn, posting{tag, int32(ord)})
+				counts[tag]++
+			}
+		}
+		// Bucket the ordinals by tag (ascending, since they were drawn in
+		// document order), encode every list Lucene-style, check the round
+		// trip, and lay the lists out in tag order.
+		lists := make([][]int32, corpus.Tags)
+		backing := make([]int32, len(drawn))
+		for tag, n := range counts {
+			lists[tag], backing = backing[:0:n], backing[n:]
+		}
+		for _, d := range drawn {
+			lists[d.tag] = append(lists[d.tag], d.ord)
+		}
+		sh.postings = make([]byte, 0, len(drawn))
+		sh.postingOff = make([]int64, corpus.Tags+1)
+		for tag, list := range lists {
+			var err error
+			if sh.postings, err = appendPostings(sh.postings, list); err != nil {
+				return nil, nil, fmt.Errorf("search: shard %d tag %d: %w", si, tag, err)
+			}
+			sh.postingOff[tag+1] = int64(len(sh.postings))
+			if err := checkPostings(sh.postingList(tag), list); err != nil {
+				return nil, nil, fmt.Errorf("search: shard %d tag %d: %w", si, tag, err)
+			}
+		}
+		ix.shards[si] = sh
+		truth[si] = lists
+	}
+	return ix, truth, nil
+}
+
+// Shard is one index shard placed in simulated memory: its inverted index
+// and stored metadata region live in the shard's arena.
 type Shard struct {
 	id    int
 	arena *mem.Buffer
-
-	docs []docMeta
-	// postings maps tag -> local doc ordinals (ascending); the build-time
-	// truth the encoded form is verified against.
-	postings map[int][]int32
-	// postingEnc maps tag -> the varint-delta-encoded posting list (the
-	// bytes that actually live in the arena).
-	postingEnc map[int][]byte
-	// postingOff maps tag -> arena byte offset of its encoded posting list.
-	postingOff map[int]int64
-	metaOff    int64
+	ix    *shardIndex
 }
 
 // docMetaAddr returns the arena address of a document's stored metadata.
 func (s *Shard) docMetaAddr(ord int32) uint64 {
-	return s.arena.Addr(s.metaOff + int64(ord)*DocMetaBytes)
+	return s.arena.Addr(s.ix.metaOff() + int64(ord)*DocMetaBytes)
 }
 
 // Engine is one search-engine instance (one per server node).
@@ -81,89 +190,24 @@ type Engine struct {
 	coord *mem.Thread
 }
 
-// EngineConfig tunes an instance.
-type EngineConfig struct {
-	Shards      int
-	PoolThreads int
-}
-
-// NewEngine builds an instance holding `docs` documents spread over the
-// configured shards, with the given page placement for index memory.
-func NewEngine(host *core.Host, placer numa.Placer, corpus CorpusConfig, cfg EngineConfig) (*Engine, error) {
-	if cfg.Shards <= 0 {
-		return nil, fmt.Errorf("search: no shards")
-	}
-	if cfg.PoolThreads <= 0 {
-		cfg.PoolThreads = 48
+// NewEngine places an index in the host's memory, one arena per shard
+// (posting lists followed by the stored-fields region) with the given page
+// placement, and starts a search pool of poolThreads threads (48 if not
+// positive).
+func NewEngine(host *core.Host, placer numa.Placer, ix *Index, poolThreads int) (*Engine, error) {
+	if poolThreads <= 0 {
+		poolThreads = 48
 	}
 	e := &Engine{host: host, poolSig: sim.NewSignal(host.K), coord: host.NewThread(0)}
-	rng := rand.New(rand.NewSource(corpus.Seed))
-
-	perShard := corpus.Docs / cfg.Shards
-	if perShard == 0 {
-		return nil, fmt.Errorf("search: %d docs cannot fill %d shards", corpus.Docs, cfg.Shards)
-	}
-	for si := 0; si < cfg.Shards; si++ {
-		sh := &Shard{
-			id:         si,
-			postings:   make(map[int][]int32),
-			postingEnc: make(map[int][]byte),
-			postingOff: make(map[int]int64),
-		}
-		for ord := 0; ord < perShard; ord++ {
-			d := docMeta{
-				id:      int32(si*perShard + ord),
-				date:    int32(rng.Intn(4000)),
-				answers: int16(rng.Intn(160)),
-			}
-			sh.docs = append(sh.docs, d)
-			for t := 0; t < corpus.TagsPerDoc; t++ {
-				// Skewed tag popularity: squaring the uniform draw favors
-				// low tag IDs ~ 1/sqrt density.
-				u := rng.Float64()
-				tag := int(u * u * float64(corpus.Tags))
-				if tag >= corpus.Tags {
-					tag = corpus.Tags - 1
-				}
-				list := sh.postings[tag]
-				if len(list) > 0 && list[len(list)-1] == int32(ord) {
-					continue // duplicate tag on this doc
-				}
-				sh.postings[tag] = append(list, int32(ord))
-			}
-		}
-		// Encode every posting list (Lucene-style varint deltas), verify
-		// the round trip, and lay lists out in tag order followed by the
-		// stored-fields region.
-		var postingBytes int64
-		tags := make([]int, 0, len(sh.postings))
-		for t := range sh.postings {
-			tags = append(tags, t)
-		}
-		sort.Ints(tags)
-		for _, t := range tags {
-			enc, err := encodePostings(sh.postings[t])
-			if err != nil {
-				return nil, fmt.Errorf("search: shard %d tag %d: %w", si, t, err)
-			}
-			sh.postingEnc[t] = enc
-			postingBytes += int64(len(enc))
-		}
-		metaBytes := int64(perShard) * DocMetaBytes
-		arena, err := host.Mem.Alloc(postingBytes+metaBytes+mem.CachelineSize, placer)
+	for si, x := range ix.shards {
+		metaBytes := int64(len(x.docs)) * DocMetaBytes
+		arena, err := host.Mem.Alloc(x.metaOff()+metaBytes+mem.CachelineSize, placer)
 		if err != nil {
 			return nil, fmt.Errorf("search: shard %d arena: %w", si, err)
 		}
-		sh.arena = arena
-		off := int64(0)
-		for _, t := range tags {
-			sh.postingOff[t] = off
-			off += int64(len(sh.postingEnc[t]))
-		}
-		sh.metaOff = off
-		e.shards = append(e.shards, sh)
+		e.shards = append(e.shards, &Shard{id: si, arena: arena, ix: x})
 	}
-	for i := 0; i < cfg.PoolThreads; i++ {
+	for i := 0; i < poolThreads; i++ {
 		e.poolFree = append(e.poolFree, host.NewThread(i))
 	}
 	return e, nil

@@ -10,21 +10,32 @@ import (
 // with dense lists compress to ~1 byte per document; sparse lists take
 // 2-3 bytes per entry.
 
-// encodePostings serializes an ascending ordinal list.
-func encodePostings(list []int32) ([]byte, error) {
-	var out []byte
+// appendPostings appends the encoding of an ascending ordinal list to dst.
+func appendPostings(dst []byte, list []int32) ([]byte, error) {
 	prev := int32(-1)
-	var tmp [binary.MaxVarintLen32]byte
 	for i, ord := range list {
 		if ord <= prev {
 			return nil, fmt.Errorf("search: posting list not strictly ascending at %d", i)
 		}
-		delta := uint64(ord - prev)
-		n := binary.PutUvarint(tmp[:], delta)
-		out = append(out, tmp[:n]...)
+		dst = binary.AppendUvarint(dst, uint64(ord-prev))
 		prev = ord
 	}
-	return out, nil
+	return dst, nil
+}
+
+// checkPostings decodes an encoded list and compares it with the ordinals
+// it was encoded from.
+func checkPostings(enc []byte, list []int32) error {
+	it := postingIterator{data: enc, cur: -1}
+	for i, want := range list {
+		if got, ok := it.next(); !ok || got != want {
+			return fmt.Errorf("search: posting %d decodes to %d, want %d", i, got, want)
+		}
+	}
+	if it.pos != len(enc) {
+		return fmt.Errorf("search: %d trailing bytes after %d postings", len(enc)-it.pos, len(list))
+	}
+	return nil
 }
 
 // postingIterator decodes an encoded list incrementally.

@@ -10,7 +10,7 @@ import (
 
 func TestPostingsRoundTrip(t *testing.T) {
 	list := []int32{0, 1, 5, 100, 101, 70000, 1 << 30}
-	enc, err := encodePostings(list)
+	enc, err := appendPostings(nil, list)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +31,7 @@ func TestPostingsCompression(t *testing.T) {
 	for i := range list {
 		list[i] = int32(i)
 	}
-	enc, err := encodePostings(list)
+	enc, err := appendPostings(nil, list)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,16 +41,16 @@ func TestPostingsCompression(t *testing.T) {
 }
 
 func TestPostingsRejectUnsorted(t *testing.T) {
-	if _, err := encodePostings([]int32{5, 3}); err == nil {
+	if _, err := appendPostings(nil, []int32{5, 3}); err == nil {
 		t.Fatal("descending list encoded")
 	}
-	if _, err := encodePostings([]int32{5, 5}); err == nil {
+	if _, err := appendPostings(nil, []int32{5, 5}); err == nil {
 		t.Fatal("duplicate entries encoded")
 	}
 }
 
 func TestPostingsEmpty(t *testing.T) {
-	enc, err := encodePostings(nil)
+	enc, err := appendPostings(nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestPostingsEmpty(t *testing.T) {
 }
 
 func TestPostingIteratorProgress(t *testing.T) {
-	enc, _ := encodePostings([]int32{10, 300, 70000})
+	enc, _ := appendPostings(nil, []int32{10, 300, 70000})
 	it := newPostingIterator(enc)
 	prev := 0
 	for {
@@ -91,7 +91,7 @@ func TestQuickPostingsRoundTrip(t *testing.T) {
 			}
 		}
 		sort.Slice(list, func(i, j int) bool { return list[i] < list[j] })
-		enc, err := encodePostings(list)
+		enc, err := appendPostings(nil, list)
 		if err != nil {
 			return false
 		}
@@ -112,10 +112,11 @@ func TestQuickPostingsRoundTrip(t *testing.T) {
 }
 
 func TestShardEncodingMatchesTruth(t *testing.T) {
-	_, e := newLocalEngine(t, 2)
-	for _, sh := range e.Shards() {
-		for tag, truth := range sh.postings {
-			got := decodePostings(sh.postingEnc[tag])
+	// The truth lists come from the builder, before encoding.
+	_, e, truths := newLocalEngine(t, 2)
+	for si, sh := range e.Shards() {
+		for tag, truth := range truths[si] {
+			got := decodePostings(sh.ix.postingList(tag))
 			if len(got) != len(truth) {
 				t.Fatalf("tag %d: decoded %d entries, want %d", tag, len(got), len(truth))
 			}
@@ -195,10 +196,10 @@ func TestQuickIntersectMatchesNaive(t *testing.T) {
 }
 
 func TestBooleanAndOnShard(t *testing.T) {
-	tb, e := newLocalEngine(t, 1)
+	tb, e, truth := newLocalEngine(t, 1)
 	sh := e.Shards()[0]
 	const tagA, tagB = 0, 1
-	want := len(naiveIntersect(sh.postings[tagA], sh.postings[tagB]))
+	want := len(naiveIntersect(truth[0][tagA], truth[0][tagB]))
 	got := 0
 	tb.Cluster.K.Go("q", func(p *sim.Proc) {
 		th := e.acquireThread(p)

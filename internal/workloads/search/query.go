@@ -63,11 +63,11 @@ const (
 // remote memory latency is paid serially per block. The varint-delta
 // encoding is decoded for real, returning the local ordinals.
 func (sh *Shard) streamPostings(p *sim.Proc, th *mem.Thread, tag int) []int32 {
-	enc := sh.postingEnc[tag]
+	enc := sh.ix.postingList(tag)
 	if len(enc) == 0 {
 		return nil
 	}
-	base := sh.postingOff[tag]
+	base := sh.ix.postingOff[tag]
 	total := int64(len(enc))
 	for off := int64(0); off < total; off += postingChunkBytes {
 		n := int64(postingChunkBytes)
@@ -124,7 +124,7 @@ func (sh *Shard) runRNQIHBS(p *sim.Proc, th *mem.Thread, tag int, date int32) in
 	th.Compute(p, int64(len(list))*filterInstrPerDoc)
 	hits := 0
 	for _, ord := range list {
-		d := sh.docs[ord]
+		d := sh.ix.docs[ord]
 		if d.answers >= 100 && d.date < date {
 			hits++
 		}
@@ -146,7 +146,7 @@ func (sh *Shard) runRSTQ(p *sim.Proc, th *mem.Thread, tag int) int {
 	// Functional sort over the truth data (verifies the index contents).
 	dates := make([]int32, n)
 	for i, ord := range list {
-		dates[i] = sh.docs[ord].date
+		dates[i] = sh.ix.docs[ord].date
 	}
 	sort.Slice(dates, func(i, j int) bool { return dates[i] > dates[j] })
 	return n
@@ -177,10 +177,10 @@ func (sh *Shard) RunBooleanAnd(p *sim.Proc, th *mem.Thread, tagA, tagB int) int 
 // configuration-insensitive.
 func (sh *Shard) runMA(p *sim.Proc, th *mem.Thread) int {
 	th.Compute(p, matchAllInstr)
-	for i := int32(0); i < topK && int(i) < len(sh.docs); i++ {
+	for i := int32(0); i < topK && int(i) < len(sh.ix.docs); i++ {
 		th.Access(p, sh.docMetaAddr(i), DocMetaBytes, false)
 	}
-	return len(sh.docs)
+	return len(sh.ix.docs)
 }
 
 func log2(n int) int {

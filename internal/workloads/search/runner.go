@@ -3,6 +3,8 @@ package search
 import (
 	"fmt"
 	"math/rand"
+	"sync"
+	"sync/atomic"
 
 	"thymesisflow/internal/core"
 	"thymesisflow/internal/numa"
@@ -48,8 +50,60 @@ type Result struct {
 	TotalHits  int64
 }
 
-// Run executes the challenge under one memory configuration.
+// IndexSet builds each distinct (corpus, shard count) index at most once
+// and shares it, read-only, with every engine that places it. It is safe
+// for concurrent use: parallel Figure 9 cells draw from one set. An index
+// lives as long as its set.
+type IndexSet struct {
+	mu      sync.Mutex
+	entries map[indexKey]*indexEntry
+	builds  atomic.Int64 // indexes built so far
+}
+
+type indexKey struct {
+	corpus CorpusConfig
+	shards int
+}
+
+type indexEntry struct {
+	once sync.Once
+	ix   *Index
+	err  error
+}
+
+// NewIndexSet returns an empty set.
+func NewIndexSet() *IndexSet {
+	return &IndexSet{entries: make(map[indexKey]*indexEntry)}
+}
+
+// Index returns the index of a corpus over the given number of shards,
+// building it on first request. Concurrent requests for one key wait for
+// a single build; requests for different keys build in parallel.
+func (s *IndexSet) Index(corpus CorpusConfig, shards int) (*Index, error) {
+	key := indexKey{corpus, shards}
+	s.mu.Lock()
+	e := s.entries[key]
+	if e == nil {
+		e = &indexEntry{}
+		s.entries[key] = e
+	}
+	s.mu.Unlock()
+	e.once.Do(func() {
+		s.builds.Add(1)
+		e.ix, e.err = NewIndex(corpus, shards)
+	})
+	return e.ix, e.err
+}
+
+// Run executes the challenge under one memory configuration, building the
+// indexes it needs; it is NewIndexSet().Run.
 func Run(cfgName core.MemoryConfig, rc RunConfig) (*Result, error) {
+	return NewIndexSet().Run(cfgName, rc)
+}
+
+// Run executes the challenge under one memory configuration, taking its
+// indexes from the set.
+func (s *IndexSet) Run(cfgName core.MemoryConfig, rc RunConfig) (*Result, error) {
 	if rc.Shards <= 0 || rc.Clients <= 0 || rc.OpsPerClient <= 0 {
 		return nil, fmt.Errorf("search: bad run config %+v", rc)
 	}
@@ -69,19 +123,22 @@ func Run(cfgName core.MemoryConfig, rc RunConfig) (*Result, error) {
 	if shardsPer == 0 {
 		shardsPer = 1
 	}
+	// Every instance indexes the same corpus (same seed and size), so one
+	// index serves them all.
+	corpus := rc.Corpus
+	corpus.Docs = rc.Corpus.Docs / len(instances)
+	ix, err := s.Index(corpus, shardsPer)
+	if err != nil {
+		return nil, err
+	}
 	for i, host := range instances {
-		corpus := rc.Corpus
-		corpus.Docs = rc.Corpus.Docs / len(instances)
 		var placer numa.Placer
 		if host == tb.Server {
 			placer = tb.Placer()
 		} else {
 			placer = numa.Local(host.LocalNode(0))
 		}
-		engines[i], err = NewEngine(host, placer, corpus, EngineConfig{
-			Shards:      shardsPer,
-			PoolThreads: rc.PoolThreads,
-		})
+		engines[i], err = NewEngine(host, placer, ix, rc.PoolThreads)
 		if err != nil {
 			return nil, err
 		}

@@ -12,41 +12,53 @@ func smallCorpus() CorpusConfig {
 	return CorpusConfig{Seed: 3, Docs: 40_000, Tags: 50, TagsPerDoc: 3}
 }
 
-func newLocalEngine(t *testing.T, shards int) (*core.Testbed, *Engine) {
+// newLocalEngine places the small corpus on one local testbed. It also
+// returns the builder's ordinal lists, truth[shard][tag].
+func newLocalEngine(t *testing.T, shards int) (*core.Testbed, *Engine, [][][]int32) {
 	t.Helper()
 	tb, err := core.NewTestbed(core.ConfigLocal, 1<<30)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := NewEngine(tb.Server, numa.Local(tb.Server.LocalNode(0)), smallCorpus(),
-		EngineConfig{Shards: shards, PoolThreads: 8})
+	ix, truth, err := buildIndex(smallCorpus(), shards)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return tb, e
+	e, err := NewEngine(tb.Server, numa.Local(tb.Server.LocalNode(0)), ix, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tb, e, truth
 }
 
 func TestIndexStructure(t *testing.T) {
-	_, e := newLocalEngine(t, 4)
+	_, e, truth := newLocalEngine(t, 4)
 	if len(e.Shards()) != 4 {
 		t.Fatalf("shards = %d", len(e.Shards()))
 	}
 	totalDocs := 0
-	for _, sh := range e.Shards() {
-		totalDocs += len(sh.docs)
-		// Posting lists are sorted ascending and in range.
-		for tag, list := range sh.postings {
+	for si, sh := range e.Shards() {
+		totalDocs += len(sh.ix.docs)
+		if len(sh.ix.postingOff) != smallCorpus().Tags+1 {
+			t.Fatalf("shard %d: %d posting offsets for %d tags", si, len(sh.ix.postingOff), smallCorpus().Tags)
+		}
+		// Posting lists are sorted ascending and in range, and laid out
+		// back to back in tag order.
+		for tag, list := range truth[si] {
 			for i, ord := range list {
-				if int(ord) >= len(sh.docs) {
+				if int(ord) >= len(sh.ix.docs) {
 					t.Fatalf("tag %d: ordinal %d out of range", tag, ord)
 				}
 				if i > 0 && list[i-1] >= ord {
 					t.Fatalf("tag %d: posting list not strictly ascending", tag)
 				}
 			}
-			if _, ok := sh.postingOff[tag]; !ok {
-				t.Fatalf("tag %d has no arena offset", tag)
+			if off := sh.ix.postingOff; off[tag] > off[tag+1] {
+				t.Fatalf("tag %d: arena offsets %d..%d", tag, off[tag], off[tag+1])
 			}
+		}
+		if sh.ix.metaOff() != sh.ix.postingOff[len(truth[si])] {
+			t.Fatalf("shard %d: stored fields at %d, postings end at %d", si, sh.ix.metaOff(), sh.ix.postingOff[len(truth[si])])
 		}
 	}
 	if totalDocs != 40_000 {
@@ -55,20 +67,19 @@ func TestIndexStructure(t *testing.T) {
 }
 
 func TestTagPopularitySkew(t *testing.T) {
-	_, e := newLocalEngine(t, 1)
-	sh := e.Shards()[0]
-	if len(sh.postings[0]) <= len(sh.postings[40])*2 {
+	_, _, truth := newLocalEngine(t, 1)
+	if len(truth[0][0]) <= len(truth[0][40])*2 {
 		t.Fatalf("tag popularity not skewed: tag0=%d tag40=%d",
-			len(sh.postings[0]), len(sh.postings[40]))
+			len(truth[0][0]), len(truth[0][40]))
 	}
 }
 
 func TestRTQCountsMatchIndex(t *testing.T) {
-	tb, e := newLocalEngine(t, 2)
+	tb, e, truth := newLocalEngine(t, 2)
 	const tag = 5
 	want := 0
-	for _, sh := range e.Shards() {
-		want += len(sh.postings[tag])
+	for si := range e.Shards() {
+		want += len(truth[si][tag])
 	}
 	got := 0
 	tb.Cluster.K.Go("q", func(p *sim.Proc) {
@@ -85,12 +96,12 @@ func TestRTQCountsMatchIndex(t *testing.T) {
 }
 
 func TestRNQIHBSFiltersCorrectly(t *testing.T) {
-	tb, e := newLocalEngine(t, 1)
+	tb, e, truth := newLocalEngine(t, 1)
 	sh := e.Shards()[0]
 	const tag, date = 3, 2000
 	want := 0
-	for _, ord := range sh.postings[tag] {
-		d := sh.docs[ord]
+	for _, ord := range truth[0][tag] {
+		d := sh.ix.docs[ord]
 		if d.answers >= 100 && d.date < date {
 			want++
 		}
@@ -113,7 +124,7 @@ func TestRNQIHBSFiltersCorrectly(t *testing.T) {
 func TestChallengeLatencyOrdering(t *testing.T) {
 	// Per-query time: MA (fixed) < RTQ (postings only) < RNQIHBS/RSTQ
 	// (postings + doc values + nested setup).
-	tb, e := newLocalEngine(t, 1)
+	tb, e, _ := newLocalEngine(t, 1)
 	sh := e.Shards()[0]
 	dur := func(f func(p *sim.Proc)) sim.Time {
 		start := tb.Cluster.K.Now()
